@@ -48,7 +48,12 @@ Result<Instance> RandomInstanceSatisfying(const Signature& sig,
 /// Feed evaluations run under `options` (jobs, guards; the constraint
 /// set's constants are added automatically). Returns the repaired
 /// instance; feeds that fail to evaluate (e.g. Skolem without an
-/// interpretation) contribute nothing.
+/// interpretation) contribute nothing. The loop is RunFeedFixpoint's
+/// change-driven one: feeds whose inputs and target have not moved since
+/// their last evaluation are skipped, and a round that ends with the
+/// contents it began with (two equalities assigning one relation in turn)
+/// ends the repair — the result is the one running all `max_iterations`
+/// rounds would give.
 Instance RepairTowards(const Instance& instance, const ConstraintSet& cs,
                        const EvalOptions& options = {},
                        int max_iterations = 16);

@@ -31,11 +31,27 @@ std::vector<RelationFeed> CollectFeeds(
     bool assign_equalities);
 
 /// Runs the feed loop on `instance` until a fixpoint or `max_iterations`:
-/// each pass evaluates every feed's source against the current instance
-/// and grows (or assigns) its target. Feeds that fail to evaluate (e.g.
-/// Skolem without an interpretation) contribute nothing. Returns the
-/// number of passes used; accumulates evaluation counters into `stats`
+/// each pass (round) applies the feeds in order, evaluating a feed's
+/// source against the current instance and growing (or assigning) its
+/// target. Feeds that fail to evaluate (e.g. Skolem without an
+/// interpretation) contribute nothing. Returns the number of rounds used;
+/// accumulates the counters of the evaluations actually run into `stats`
 /// when non-null.
+///
+/// Change-driven, with results — final instance and returned count —
+/// identical to evaluating every feed in every round:
+///  * Skip rule: a feed is skipped when it was evaluated before, no
+///    relation its source reads changed since that evaluation began, and
+///    its target did not change since it applied that result. A source
+///    containing D or a user operator reads the whole instance (user ops
+///    receive the active domain). Evaluation is a pure function of the
+///    relations read, the domain and `options`, so the skipped evaluation
+///    would have been a no-op.
+///  * Oscillation rule: a round that changed relations but ended with the
+///    contents it began with would repeat forever, so the loop stops and
+///    returns `max_iterations`, the count the full loop reports. Only feed
+///    lists with an `assign` feed snapshot targets for this check;
+///    grow-only feeds cannot undo a change.
 int RunFeedFixpoint(Instance* instance, const std::vector<RelationFeed>& feeds,
                     const EvalOptions& options, int max_iterations,
                     EvalStats* stats);
@@ -45,7 +61,9 @@ struct MaterializeResult {
   Instance instance;       ///< input plus populated residuals
   bool satisfied = false;  ///< whether the full constraint set now holds
   int iterations = 0;      ///< fixpoint rounds used
-  EvalStats eval_stats;    ///< aggregated over every feed evaluation
+  /// Aggregated over the feed evaluations actually run (RunFeedFixpoint
+  /// skips those whose outcome is known) and the final satisfaction check.
+  EvalStats eval_stats;
 };
 
 /// Implements the paper's §1.3 usage note for best-effort composition: "to

@@ -157,8 +157,11 @@ class ComposeService {
     Handle() = default;
 
     /// Blocks until the composition finishes. Never throws: a failed
-    /// computation is a Status inside the outcome.
-    const ServedOutcome& Wait() const { return future_.get(); }
+    /// computation is a Status inside the outcome. Returned by value (a
+    /// shared_ptr plus a Status), so the outcome stays valid after this
+    /// handle — and, with no cache entry holding it, the shared state —
+    /// is gone: `service.Submit(p).Wait()` on a temporary handle is safe.
+    ServedOutcome Wait() const { return future_.get(); }
     /// Shared ownership of the result (blocks like Wait); null when the
     /// computation failed.
     ResultPtr Result() const { return future_.get().shared(); }

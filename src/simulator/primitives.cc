@@ -262,6 +262,9 @@ std::optional<EditStep> ApplyPrimitive(Primitive p, const SimRelation& input,
     case Primitive::kHf:
     case Primitive::kHb:
     case Primitive::kH: {
+      // Partition on a random non-key attribute; a relation whose key
+      // covers every attribute has none.
+      if (r - input.key_size < 1) return std::nullopt;
       int c_pos = RandInt(rng, input.key_size + 1, r);
       Value cs = RandConstant(rng, options);
       Value ct = RandConstant(rng, options);

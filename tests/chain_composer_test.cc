@@ -198,6 +198,23 @@ TEST(ChainComposerTest, DisabledCacheRecomposesEveryWalk) {
   EXPECT_EQ(stats.cache_bytes, 0u);
 }
 
+// A service without a result cache: nothing but the step's own handle holds
+// the composition's shared state, so the outcome ExtendPrefix reads must
+// outlive that handle (it once dangled here — run under ASan in CI).
+TEST(ChainComposerTest, CachelessServiceMatchesColdOracle) {
+  TestChain tc = BuildChain(/*depth=*/5, /*seed=*/23);
+  ChainResult cold = ComposeChainCold(tc.chain).value();
+  ComposeServiceOptions service_options;
+  service_options.cache_capacity = 0;
+  ComposeService service(service_options);
+  ChainComposer composer(&service);
+  for (int i = 0; i < 2; ++i) {
+    ChainResult r = composer.ComposeChain(tc.chain).value();
+    EXPECT_EQ(r.fingerprint, cold.fingerprint);
+    EXPECT_EQ(r.result_fingerprint, cold.result_fingerprint);
+  }
+}
+
 TEST(ChainComposerTest, ByteCapacityEvictsPrefixStates) {
   TestChain tc = BuildChain(/*depth=*/6, /*seed=*/19);
 

@@ -239,9 +239,9 @@ TEST(ComposeServiceTest, ConcurrentClientsMixedHitsAndMisses) {
       for (int rep = 0; rep < kRequestsPerClient; ++rep) {
         for (size_t i = 0; i < problems.size(); ++i) {
           size_t slot = (i + static_cast<size_t>(t) * 3) % problems.size();
-          const ServedResult& res =
-              *service.Submit(problems[slot]).Wait();
-          if (res.Fingerprint() != baselines[slot]) {
+          ComposeService::ResultPtr res =
+              service.Submit(problems[slot]).Result();
+          if (res == nullptr || res->Fingerprint() != baselines[slot]) {
             errors[t] = "fingerprint mismatch on problem " +
                         std::to_string(slot);
             return;

@@ -85,6 +85,17 @@ TEST_F(PrimitiveShapeTest, HorizontalPartitioning) {
   EXPECT_EQ(hb.constraints[0].rhs->kind(), ExprKind::kUnion);
 }
 
+TEST_F(PrimitiveShapeTest, HorizontalPartitioningNeedsANonKeyAttribute) {
+  // A DA edit can leave a relation whose key covers every attribute; there
+  // is no attribute left to partition on.
+  for (Primitive p : {Primitive::kHf, Primitive::kHb, Primitive::kH}) {
+    EXPECT_FALSE(ApplyPrimitive(p, MakeRel("X", 3, /*key=*/3), opts_,
+                                &names_, &rng_)
+                     .has_value())
+        << PrimitiveName(p);
+  }
+}
+
 TEST_F(PrimitiveShapeTest, VerticalRequiresKey) {
   EXPECT_FALSE(ApplyPrimitive(Primitive::kV, MakeRel("X", 4, 0), opts_,
                               &names_, &rng_)
@@ -195,6 +206,26 @@ TEST(SimulatorTest, DropRelationShrinksSchema) {
   SimSchema schema = simulator.RandomSchema(5);
   FullEdit edit = simulator.ApplyEdit(schema, Primitive::kDR);
   EXPECT_EQ(edit.new_schema.relations.size(), 4u);
+}
+
+TEST(SimulatorTest, KeyedSequencesWithHorizontalPartitioningComplete) {
+  // Keyed §4 sequences under the Default event vector: drop-attribute edits
+  // shrink keyed relations down to their key, and the H family must then
+  // decline them instead of drawing a partition attribute from an empty
+  // range. These seeds once reached that draw and aborted.
+  SimulatorOptions opts;
+  opts.primitives.enable_keys = true;
+  for (uint64_t seed = 2000006; seed <= 2000016; seed += 2) {
+    EvolutionSimulator simulator(opts, seed);
+    SimSchema schema = simulator.RandomSchema(30);
+    for (int i = 0; i < 100; ++i) {
+      FullEdit edit = simulator.ApplyRandomEdit(schema);
+      schema = std::move(edit.new_schema);
+    }
+    for (const SimRelation& r : schema.relations) {
+      EXPECT_LE(r.key_size, r.arity) << r.name;
+    }
+  }
 }
 
 TEST(SimulatorTest, FreshNamesNeverCollide) {
